@@ -252,14 +252,21 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		gather := netsim.FlowSpec{Src: src, Dst: agg.Node, Bytes: bytes,
 			Label: fmt.Sprintf("n%d->agg%d", node, agg.Node)}
 		if net.HasFailures() && src != agg.Node {
-			// Prefer a fault-avoiding gather route; fall back to the
-			// default and let the engine's fail-stop check flag the gap.
-			if r, rerr := routing.RouteAvoiding(a.job.Torus(), src, agg.Node, net.FailedFunc()); rerr == nil {
-				gather.Links = r.Links
+			// Route the gather leg around failed links. With no minimal
+			// fault-free route left, the default route crosses a failed
+			// link, which the engine's fail-stop check would panic on:
+			// report the cut leg instead.
+			r, rerr := routing.RouteAvoiding(a.job.Torus(), src, agg.Node, net.FailedFunc())
+			if rerr != nil {
+				return plan, fmt.Errorf("core: gather leg n%d->agg%d cut by failures: %w", node, agg.Node, rerr)
 			}
+			gather.Links = r.Links
 		}
 		l1 := e.Submit(gather)
 		fabric, conts := sink.WriteFlows(agg.Node, agg.Pset, agg.Bridge, offset[node], bytes)
+		if l, cut := firstFailed(net, fabric.Links); cut {
+			return plan, fmt.Errorf("core: write leg agg%d->ion%d cut by failed link %s", agg.Node, agg.Pset, net.LinkName(l))
+		}
 		fabric.DependsOn = []netsim.FlowID{l1}
 		fabric.Label = fmt.Sprintf("agg%d->ion%d", agg.Node, agg.Pset)
 		fid := e.Submit(fabric)
@@ -274,6 +281,16 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		}
 	}
 	return plan, nil
+}
+
+// firstFailed returns the first failed link of a route, if any.
+func firstFailed(net *netsim.Network, links []int) (int, bool) {
+	for _, l := range links {
+		if net.LinkFailed(l) {
+			return l, true
+		}
+	}
+	return 0, false
 }
 
 // coalescePerNode sums per-rank data into per-node messages.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/routing"
 	"bgqflow/internal/torus"
+	"bgqflow/internal/workload"
 )
 
 // Failure injection: the planner must route transfers around failed
@@ -193,5 +195,68 @@ func TestDirectPlanErrorsWhenCut(t *testing.T) {
 	e, _ := netsim.NewEngine(net, p)
 	if _, err := pl.PlanPair(e, 0, 1, 1<<10); err == nil {
 		t.Fatal("cut topology accepted")
+	}
+}
+
+// isolate fails every outgoing torus link of a node.
+func isolate(tor *torus.Torus, net *netsim.Network, n torus.NodeID) {
+	for dim := 0; dim < tor.Dims(); dim++ {
+		net.FailLink(tor.LinkID(n, dim, torus.Plus))
+		net.FailLink(tor.LinkID(n, dim, torus.Minus))
+	}
+}
+
+// TestAggPlanReportsCutLegs pins the fail-stop contract of Algorithm 2
+// under link faults: when no fault-free route is left for a gather leg
+// (sender -> aggregator) or a write leg (aggregator -> bridge), Plan
+// returns an error naming the leg instead of submitting a flow over a
+// failed link, which the engine would panic on.
+func TestAggPlanReportsCutLegs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pick func(aggs map[torus.NodeID]bool, bridges map[torus.NodeID]bool, n torus.NodeID) bool
+		want string
+	}{
+		{"gather", func(aggs, _ map[torus.NodeID]bool, n torus.NodeID) bool { return !aggs[n] }, "gather leg"},
+		{"write", func(aggs, bridges map[torus.NodeID]bool, n torus.NodeID) bool { return aggs[n] && !bridges[n] }, "write leg"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newAggRig(t, torus.Shape{2, 2, 4, 4, 2}, 16)
+			a, err := NewAggPlanner(r.ios, r.job, r.p, DefaultAggConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := workload.Dense(r.job.NumRanks(), 1<<20)
+			var total int64
+			for _, d := range data {
+				total += d
+			}
+			_, sel := a.AggregatorsFor(total)
+			aggs := map[torus.NodeID]bool{}
+			for _, ag := range sel {
+				aggs[ag.Node] = true
+			}
+			bridges := map[torus.NodeID]bool{}
+			for pi := 0; pi < r.ios.NumPsets(); pi++ {
+				for _, b := range r.ios.Pset(pi).Bridges {
+					bridges[b] = true
+				}
+			}
+			victim := torus.NodeID(-1)
+			for n := torus.NodeID(0); int(n) < r.tor.Size(); n++ {
+				if tc.pick(aggs, bridges, n) {
+					victim = n
+					break
+				}
+			}
+			if victim < 0 {
+				t.Fatal("no node fits the case")
+			}
+			isolate(r.tor, r.net, victim)
+			_, err = a.Plan(r.engine(t), data)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Plan with node %d isolated: err = %v, want one naming the %s", victim, err, tc.want)
+			}
+		})
 	}
 }

@@ -39,18 +39,18 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer pinned.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin", func([]scenario.FailLink) (any, []uint64, error) {
 			close(started)
 			<-release
-			return PairPlan{Mode: "direct"}, nil
+			return PairPlan{Mode: "direct"}, nil, nil
 		})
 	}()
 	<-started
 	go func() {
 		defer pinned.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink) (any, error) {
-			return PairPlan{Mode: "direct"}, nil
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink) (any, []uint64, error) {
+			return PairPlan{Mode: "direct"}, nil, nil
 		})
 	}()
 	for s.disp.queued() != 1 {
@@ -123,10 +123,10 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer repin.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin-2", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin-2", func([]scenario.FailLink) (any, []uint64, error) {
 			close(started2)
 			<-release2
-			return PairPlan{Mode: "direct"}, nil
+			return PairPlan{Mode: "direct"}, nil, nil
 		})
 	}()
 	<-started2
@@ -134,8 +134,8 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer repin.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill-2", func([]scenario.FailLink) (any, error) {
-			return PairPlan{Mode: "direct"}, nil
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill-2", func([]scenario.FailLink) (any, []uint64, error) {
+			return PairPlan{Mode: "direct"}, nil, nil
 		})
 	}()
 	for s.disp.queued() != 1 {

@@ -53,21 +53,25 @@ func newClusterPlane(s *Server) *clusterPlane {
 // onApply runs after events are newly applied to the log (local
 // originations and gossip deliveries alike). It republishes the serve
 // layer's fault set and vector — together, under s.mu, guarded by the
-// log version so a slow hook can never roll state backwards — and THEN
-// bumps the cache epoch: the single-process no-lost-invalidation proof
-// (see planCache) carries over unchanged.
+// log version so a slow hook can never roll state backwards — and
+// advances the cache epoch with the changed links in the same critical
+// section: the single-process no-lost-invalidation proof (see
+// planCache) carries over unchanged. A stale hook still bumps the epoch,
+// with an empty delta.
 func (cp *clusterPlane) onApply(evs []cluster.Event) {
 	s := cp.s
 	ver, vec, faults := cp.node.Log().Snapshot()
 	s.mu.Lock()
 	stale := cp.pubVer >= ver
+	var delta []uint64
 	if !stale {
+		delta = linkDelta(s.faults, faults)
 		s.faults = faults
 		s.vec = vec
 		cp.pubVer = ver
 	}
+	epoch := s.cache.Advance(delta)
 	s.mu.Unlock()
-	epoch := s.cache.Invalidate()
 	s.reg.Counter("serve/fault_events").Add(int64(len(evs)))
 	if !stale {
 		s.reg.Gauge("serve/fault_links").Set(float64(len(faults)))
@@ -80,6 +84,7 @@ func (cp *clusterPlane) onApply(evs []cluster.Event) {
 			s.sessions.pushFaults(ev.Links, epoch)
 		}
 	}
+	s.afterFault()
 }
 
 // loop runs anti-entropy rounds until stopLoop.

@@ -125,8 +125,10 @@ func (tc *testCluster) waitConverged(t *testing.T, want string, timeout time.Dur
 // single-threaded planner call — with fault events (including repairs)
 // interleaved every 25th seed, posted round-robin across replicas. The
 // min-vector discipline means every post-fault plan must reflect the
-// fault no matter which replica serves it.
+// fault no matter which replica serves it. The fault verifier re-plans
+// every cached plan that survives each fault on every replica.
 func TestClusterDifferential200Seeds(t *testing.T) {
+	verified := serve.VerifyFaults(t)
 	tc := newTestCluster(t, 3, nil)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
@@ -187,7 +189,10 @@ func TestClusterDifferential200Seeds(t *testing.T) {
 	if len(served) != 3 {
 		t.Fatalf("only %d replicas served requests: %v", len(served), served)
 	}
-	t.Logf("per-replica served counts: %v", served)
+	if verified.Load() == 0 {
+		t.Fatal("fault verifier checked no surviving entry")
+	}
+	t.Logf("per-replica served counts: %v; %d surviving entries re-planned", served, verified.Load())
 }
 
 // TestClusterGossipConvergence posts a fault to exactly ONE replica and

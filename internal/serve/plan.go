@@ -3,6 +3,9 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"bgqflow/internal/core"
 	"bgqflow/internal/ionet"
@@ -288,19 +291,31 @@ func pairConfig(proxies int) core.ProxyConfig {
 
 // ComputePair plans one point-to-point transfer and simulates it.
 func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) {
+	plan, _, err := computePair(req, faults)
+	return plan, err
+}
+
+// computePair is ComputePair plus the plan's fault footprint: the sorted
+// link keys (see linkKey) of every link whose fault status the planner
+// queried, and of every link a submitted flow rides. The plan is a pure
+// function of the fault status of those links alone, so it stays valid
+// across any fault event that changes none of them (DESIGN.md §12).
+// Non-torus plans return a nil footprint: they are epoch-only.
+func computePair(req PairRequest, faults []scenario.FailLink) (PairPlan, []uint64, error) {
 	if err := req.Validate(); err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
 	if req.Topology != "" {
-		return computePairTopo(req)
+		plan, err := computePairTopo(req)
+		return plan, nil, err
 	}
 	shape, err := torus.ParseShape(req.Shape)
 	if err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
 	tor, err := torus.New(shape)
 	if err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
 	params := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, params.LinkBandwidth)
@@ -308,24 +323,107 @@ func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) 
 	failNetworkLinks(tor, net, faults)
 	e, err := netsim.NewEngine(net, params)
 	if err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
 	pl, err := core.NewPairPlanner(tor, pairConfig(req.Proxies))
 	if err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
-	if net.HasFailures() {
-		pl.SetFaults(net.FailedFunc())
-	}
+	// The planner reads fault state only through this predicate, so the
+	// links it records are every link its decisions depended on. It is
+	// installed even with no faults: an all-false predicate routes
+	// exactly like none (RouteAvoiding's first candidate is the
+	// deterministic route), and a fault-free plan still needs a
+	// footprint to survive the next fault.
+	seen := make([]uint64, (tor.NumTorusLinks()+63)/64)
+	mark := func(l int) { seen[l>>6] |= 1 << (l & 63) }
+	pl.SetFaults(func(l int) bool {
+		mark(l)
+		return net.LinkFailed(l)
+	})
 	plan, err := pl.PlanPair(e, torus.NodeID(req.Src), torus.NodeID(req.Dst), req.Bytes)
 	if err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
 	mk, err := e.Run()
 	if err != nil {
-		return PairPlan{}, err
+		return PairPlan{}, nil, err
 	}
-	return PairWireFromPlan(e, plan, float64(mk)), nil
+	wire := PairWireFromPlan(e, plan, float64(mk))
+	for _, f := range wire.Flows {
+		for _, l := range f.Links {
+			mark(l)
+		}
+	}
+	return wire, footprintKeys(tor, seen), nil
+}
+
+// footprintKeys converts a link bitset into sorted link keys. Link IDs
+// and link keys both order by (node, dim, dir), so a bit scan in ID
+// order yields sorted keys.
+func footprintKeys(tor *torus.Torus, seen []uint64) []uint64 {
+	n := 0
+	for _, w := range seen {
+		n += bits.OnesCount64(w)
+	}
+	keys := make([]uint64, 0, n)
+	for i, w := range seen {
+		for w != 0 {
+			l := i<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			node, dim, dir := tor.LinkFrom(l)
+			keys = append(keys, linkKey(int(node), dim, int(dir)))
+		}
+	}
+	return keys
+}
+
+// linkKey packs a fault triple (node, dim, dir) into one ordered key.
+// Triples are geometry-independent, as in applicableFaults: a key names
+// the same link on every torus that has it. Dimensions stay below
+// torus.MaxDims (3 bits) and node IDs below 2^59 on any torus the daemon
+// can build; keyable reports whether a triple fits.
+func linkKey(node, dim, dir int) uint64 {
+	k := uint64(node)<<4 | uint64(dim)<<1
+	if dir == -1 {
+		k |= 1
+	}
+	return k
+}
+
+func keyable(fl scenario.FailLink) bool {
+	return fl.Node >= 0 && uint64(fl.Node) < 1<<59 && fl.Dim >= 0 && fl.Dim < torus.MaxDims && (fl.Dir == 1 || fl.Dir == -1)
+}
+
+// linkDelta returns the sorted keys of the links whose fault status
+// differs between two fault sets: the symmetric difference, so a heal
+// (a link leaving the set) counts exactly like a failure. Triples no
+// torus can have are dropped; applicableFaults would drop them too.
+func linkDelta(prev, next []scenario.FailLink) []uint64 {
+	set := func(fs []scenario.FailLink) []uint64 {
+		keys := make([]uint64, 0, len(fs))
+		for _, fl := range fs {
+			if keyable(fl) {
+				keys = append(keys, linkKey(fl.Node, fl.Dim, fl.Dir))
+			}
+		}
+		slices.Sort(keys)
+		return slices.Compact(keys)
+	}
+	a, b := set(prev), set(next)
+	var out []uint64
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // computePairTopo plans a direct transfer on a non-torus fabric. The
@@ -574,13 +672,14 @@ func ComputeSim(cfg scenario.Config, faults []scenario.FailLink) (SimResult, err
 
 // paramsSignature folds the machine constants into the cache key so a
 // future multi-params daemon can never serve a plan computed under
-// different hardware assumptions.
-func paramsSignature() uint64 {
+// different hardware assumptions. The constants are fixed for the
+// process, so the hash is computed once.
+var paramsSignature = sync.OnceValue(func() uint64 {
 	p := netsim.DefaultParams()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v", p)
 	return h.Sum64()
-}
+})
 
 // bytesBucket buckets a message size by power of two — the cache-key
 // granularity axis from the issue: requests in the same bucket share a

@@ -15,10 +15,12 @@
 //     coalescing: N concurrent identical requests compute once. Sparse
 //     request streams — a few hot (src, dst) couples dominating, the
 //     Pattern-2 shape — hit the cache almost always.
-//   - Epoch invalidation wired to fault events: a POST /v1/fault
-//     mutates the fault set then bumps the epoch, making every cached
-//     and in-flight plan invisible to later lookups (the routing.Cache
-//     epoch discipline lifted to the service layer).
+//   - Fault-footprint invalidation wired to fault events: a POST
+//     /v1/fault publishes the new fault set and bumps the epoch in one
+//     critical section, recording which links changed. A cached pair
+//     plan survives the event when its planner never looked at a
+//     changed link; every other plan becomes invisible to later lookups
+//     (the routing.Cache epoch discipline lifted to the service layer).
 //
 // Every request is instrumented through internal/obs; GET /metrics
 // returns the registry snapshot as flat JSON.
@@ -26,12 +28,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bgqflow/internal/cluster"
@@ -141,7 +145,8 @@ func (c Config) withDefaults() Config {
 
 // FaultEvent is the body of POST /v1/fault: link failures to add to the
 // daemon's fault set, or Clear to reset it (a repair). Either way the
-// plan-cache epoch is bumped.
+// plan-cache epoch is bumped; cached plans whose footprint misses every
+// changed link stay valid.
 type FaultEvent struct {
 	Links []scenario.FailLink `json:"links,omitempty"`
 	Clear bool                `json:"clear,omitempty"`
@@ -244,8 +249,8 @@ func (s *Server) Close() {
 	s.disp.close()
 }
 
-// snapshot reads the epoch, then the fault set — in that order; see the
-// planCache type comment for why the order matters.
+// snapshot reads the epoch and the fault set in one critical section;
+// see the planCache type comment for why they must match.
 func (s *Server) snapshot() (uint64, []scenario.FailLink) {
 	epoch, faults, _ := s.snapshotCluster()
 	return epoch, faults
@@ -256,8 +261,8 @@ func (s *Server) snapshot() (uint64, []scenario.FailLink) {
 // client's minimum, the faults alongside it include every event that
 // minimum names.
 func (s *Server) snapshotCluster() (uint64, []scenario.FailLink, cluster.Vector) {
-	epoch := s.cache.Epoch()
 	s.mu.Lock()
+	epoch := s.cache.Epoch()
 	faults := append([]scenario.FailLink(nil), s.faults...)
 	vec := s.vec.Clone()
 	s.mu.Unlock()
@@ -307,13 +312,38 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// errPlanPanic marks a plan computation that panicked. The worker
+// recovers it so one bad plan cannot take down the replica; the request
+// gets a 500 and nothing is cached.
+var errPlanPanic = errors.New("serve: plan computation panicked")
+
+// planFunc computes one plan against a fault snapshot and returns it
+// with its fault footprint (nil for plans valid at one epoch only).
+type planFunc func(faults []scenario.FailLink) (any, []uint64, error)
+
+// runPlan runs compute on a worker and encodes the plan, converting a
+// panic into errPlanPanic.
+func (s *Server) runPlan(compute planFunc, faults []scenario.FailLink) (b []byte, foot []uint64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.reg.Counter("serve/panics").Inc()
+			b, foot, err = nil, nil, fmt.Errorf("%w: %v", errPlanPanic, p)
+		}
+	}()
+	plan, foot, err := compute(faults)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err = json.Marshal(plan)
+	return b, foot, err
+}
+
 // servePlan is the shared request path: admission, coalescing, caching,
 // instrumentation. The request's trace (client-stamped or generated)
 // tags the wall spans; queue and compute phase times go back to the
 // client as X-Bgq-Queue-Ms / X-Bgq-Compute-Ms headers (0 unless this
 // request computed the plan).
-func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key string,
-	compute func(faults []scenario.FailLink) (any, error)) {
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key string, compute planFunc) {
 	t0 := time.Now()
 	trace := s.traceID(r)
 	span := s.wall.SpanBegin(trace, "bgqd/plan", endpoint)
@@ -341,32 +371,28 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	// receive inside the singleflight closure orders them before our
 	// reads. They stay zero on hit/coalesced/shed outcomes.
 	var tQueueDone, tComputeDone time.Time
-	val, err, outcome := s.cache.Do(key, epoch, func() ([]byte, error) {
+	val, err, outcome := s.cache.Do(key, epoch, func() ([]byte, []uint64, error) {
 		type result struct {
-			b []byte
-			e error
+			b    []byte
+			foot []uint64
+			e    error
 		}
 		ch := make(chan result, 1)
 		admitted := s.disp.trySubmit(func() {
 			tQueueDone = time.Now()
-			plan, cerr := compute(faults)
+			b, foot, err := s.runPlan(compute, faults)
 			tComputeDone = time.Now()
-			if cerr != nil {
-				ch <- result{nil, cerr}
-				return
-			}
-			b, merr := json.Marshal(plan)
-			ch <- result{b, merr}
+			ch <- result{b, foot, err}
 		})
 		s.reg.Gauge("serve/queue_depth").Set(float64(s.disp.queued()))
 		if !admitted {
-			return nil, ErrOverloaded
+			return nil, nil, ErrOverloaded
 		}
 		r := <-ch
-		return r.b, r.e
+		return r.b, r.foot, r.e
 	})
 	var queueMS, computeMS float64
-	if outcome == outcomeComputed && !tQueueDone.IsZero() {
+	if outcome.computed() && !tQueueDone.IsZero() {
 		queueMS = float64(tQueueDone.Sub(t0)) / 1e6
 		computeMS = float64(tComputeDone.Sub(tQueueDone)) / 1e6
 		s.wall.Span(trace, "bgqd/queue", endpoint+" queue", t0, tQueueDone)
@@ -378,14 +404,18 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 		w.Header().Set(HeaderTraceID, trace)
 	}
 	switch outcome {
+	case outcomeRevalidated:
+		s.reg.Counter("serve/cache_revalidated").Inc()
+		s.reg.Counter("serve/cache_hits").Inc()
 	case outcomeHit:
 		s.reg.Counter("serve/cache_hits").Inc()
 	case outcomeCoalesced:
 		s.reg.Counter("serve/coalesced").Inc()
-	case outcomeComputed:
-		if err == nil {
-			s.reg.Counter("serve/plans_computed").Inc()
-		}
+	case outcomeFootprintMiss:
+		s.reg.Counter("serve/cache_footprint_misses").Inc()
+	}
+	if outcome.computed() && err == nil {
+		s.reg.Counter("serve/plans_computed").Inc()
 	}
 	if err == ErrOverloaded {
 		s.reg.Counter("serve/shed").Inc()
@@ -402,7 +432,11 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	if err != nil {
 		s.reg.Counter("serve/errors").Inc()
 		s.wall.SpanAbort(span)
-		writeJSON(w, http.StatusBadRequest, planEnvelope{Epoch: epoch, Error: err.Error(), Vector: vecStr})
+		status := http.StatusBadRequest
+		if errors.Is(err, errPlanPanic) {
+			status = http.StatusInternalServerError
+		}
+		writeJSON(w, status, planEnvelope{Epoch: epoch, Error: err.Error(), Vector: vecStr})
 		return
 	}
 	latencyMS := float64(time.Since(t0)) / 1e6
@@ -412,7 +446,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	writeJSON(w, http.StatusOK, planEnvelope{
 		Plan:      val,
 		Epoch:     epoch,
-		Cached:    outcome == outcomeHit,
+		Cached:    outcome.served(),
 		Coalesced: outcome == outcomeCoalesced,
 		Vector:    vecStr,
 	})
@@ -439,8 +473,8 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "pair", req.cacheKey(), func(faults []scenario.FailLink) (any, error) {
-		return ComputePair(req, faults)
+	s.servePlan(w, r, "pair", req.cacheKey(), func(faults []scenario.FailLink) (any, []uint64, error) {
+		return computePair(req, faults)
 	})
 }
 
@@ -454,8 +488,9 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "group", req.cacheKey(), func(faults []scenario.FailLink) (any, error) {
-		return ComputeGroup(req, faults)
+	s.servePlan(w, r, "group", req.cacheKey(), func(faults []scenario.FailLink) (any, []uint64, error) {
+		plan, err := ComputeGroup(req, faults)
+		return plan, nil, err
 	})
 }
 
@@ -469,8 +504,9 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "agg", req.cacheKey(), func(faults []scenario.FailLink) (any, error) {
-		return ComputeAgg(req, faults)
+	s.servePlan(w, r, "agg", req.cacheKey(), func(faults []scenario.FailLink) (any, []uint64, error) {
+		plan, err := ComputeAgg(req, faults)
+		return plan, nil, err
 	})
 }
 
@@ -492,13 +528,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "sim", simCacheKey(cfg, canon), func(faults []scenario.FailLink) (any, error) {
-		return ComputeSim(cfg, faults)
+	s.servePlan(w, r, "sim", simCacheKey(cfg, canon), func(faults []scenario.FailLink) (any, []uint64, error) {
+		res, err := ComputeSim(cfg, faults)
+		return res, nil, err
 	})
 }
 
-// handleFault ingests a fault event: mutate the fault set FIRST, then
-// bump the epoch (see planCache). Responds with the new epoch.
+// handleFault ingests a fault event: publish the new fault set and
+// advance the cache epoch with the changed links in one critical section
+// (see planCache). Responds with the new epoch.
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var ev FaultEvent
 	if !decodeBody(w, r, s.reg, &ev) {
@@ -521,13 +559,16 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if ev.Clear {
-		s.faults = nil
+	prev := s.faults
+	var next []scenario.FailLink
+	if !ev.Clear {
+		next = append(next, prev...)
 	}
-	s.faults = append(s.faults, ev.Links...)
-	n := len(s.faults)
+	next = append(next, ev.Links...)
+	s.faults = next
+	epoch := s.cache.Advance(linkDelta(prev, next))
+	n := len(next)
 	s.mu.Unlock()
-	epoch := s.cache.Invalidate()
 	s.reg.Counter("serve/fault_events").Inc()
 	s.reg.Gauge("serve/fault_links").Set(float64(n))
 	// Forward the event into running transfer sessions: each applies the
@@ -535,7 +576,19 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	// (repairs — Clear — do not propagate; a session's engine cannot
 	// un-fail a link mid-run).
 	s.sessions.pushFaults(ev.Links, epoch)
+	s.afterFault()
 	writeJSON(w, http.StatusOK, planEnvelope{Epoch: epoch})
+}
+
+// faultVerifier, when set, runs after every fault event a Server
+// applies. Tests install it (export_test.go) to re-plan every cached plan
+// that survived the event and byte-compare it; production never sets it.
+var faultVerifier atomic.Pointer[func(*Server)]
+
+func (s *Server) afterFault() {
+	if f := faultVerifier.Load(); f != nil {
+		(*f)(s)
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -23,18 +23,18 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	done := make(chan *httptest.ResponseRecorder, 2)
 	go func() {
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-blocking", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-blocking", func([]scenario.FailLink) (any, []uint64, error) {
 			close(started)
 			<-release
-			return PairPlan{Mode: "direct"}, nil
+			return PairPlan{Mode: "direct"}, nil, nil
 		})
 		done <- rec
 	}()
 	<-started // the worker is pinned
 	go func() {
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink) (any, error) {
-			return PairPlan{Mode: "direct"}, nil
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink) (any, []uint64, error) {
+			return PairPlan{Mode: "direct"}, nil, nil
 		})
 		done <- rec
 	}()
@@ -44,9 +44,9 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink) (any, error) {
+	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink) (any, []uint64, error) {
 		t.Error("shed request must not compute")
-		return nil, nil
+		return nil, nil, nil
 	})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", rec.Code)
@@ -71,8 +71,8 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	// A retry of the shed key with a free worker must now succeed: failed
 	// (shed) computations are not cached.
 	rec = httptest.NewRecorder()
-	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink) (any, error) {
-		return PairPlan{Mode: "direct"}, nil
+	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink) (any, []uint64, error) {
+		return PairPlan{Mode: "direct"}, nil, nil
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("retry after shed: status %d, want 200", rec.Code)
