@@ -43,12 +43,15 @@ verify: build lint check check-topo
 # Correctness oracle (DESIGN.md §11): the invariant + differential test
 # suite (200 generated scenarios through both engines, the archived
 # divergence corpus, and the mutation tests that prove each invariant
-# still fires), invariant auditors over every experiment runner, and a
-# short randomized-fuzz smoke over the differential oracle.
+# still fires), invariant auditors over every experiment runner, a
+# short randomized-fuzz smoke over the differential oracle, and a fuzz
+# smoke over the fault-epoch vector parser clients feed server-sent
+# vectors through.
 check:
 	$(GO) test ./internal/check
 	$(GO) run ./cmd/bgqbench -check -quick -run all
 	$(GO) test -fuzz='FuzzDifferential$$' -fuzztime=30s -run '^$$' ./internal/check
+	$(GO) test -fuzz=FuzzParseVector -fuzztime=10s -run '^$$' ./internal/cluster
 
 # Topology-plane oracle: the 200-seed dragonfly/fat-tree differential
 # suite plus invariant audits and the topology round-trip/identity

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptrace"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,17 +34,33 @@ type Client struct {
 	retry   RetryPolicy
 	tracer  *obs.WallRecorder
 	metrics *obs.Registry
+	// vec is the fault-epoch vector this client demands every plan
+	// reflect (read-your-writes across replicas): fault responses merge
+	// into it and plan, simulate and fault posts stamp it as
+	// X-Bgq-Min-Vector. A RingClient hands one store to all of its
+	// per-replica clients.
+	vec *minVector
+}
 
-	// Min-vector state for clustered daemons: the fault-epoch vector
-	// this client demands every plan reflect (read-your-writes across
-	// replicas). Fault responses merge into it; requests stamp it as
-	// X-Bgq-Min-Vector. vecSrc/vecSink, when set (by RingClient),
-	// redirect both to a shared store so all per-replica clients demand
-	// the same vector.
-	vecMu   sync.Mutex
-	minVec  cluster.Vector
-	vecSrc  func() string
-	vecSink func(string)
+// minVector is a min-vector store, shared by pointer.
+type minVector struct {
+	mu sync.Mutex
+	v  cluster.Vector
+}
+
+func (m *minVector) String() string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.v.String()
+}
+
+func (m *minVector) merge(o cluster.Vector) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.v == nil {
+		m.v = cluster.Vector{}
+	}
+	m.v.Merge(o)
 }
 
 // RetryPolicy governs how the client reacts to shed (429) and
@@ -129,42 +147,48 @@ func (p RetryPolicy) sleep(ctx context.Context, attempt int, hint time.Duration)
 	}
 }
 
-// dialTarget resolves a daemon address — TCP ("host:port",
-// "http://...") or unix socket ("unix:///path") — into a base URL and
-// an http.Client that dials it. Shared by NewClient and the gossip
-// transport so every layer speaks the same address forms.
-func dialTarget(addr string) (string, *http.Client, error) {
+// errAttempts reports a spent MaxAttempts budget.
+var errAttempts = errors.New("serve: retry attempts exhausted")
+
+// step spends retry number attempt (0-based): errAttempts when the
+// budget is spent, else the backoff wait (or the context's error).
+func (p RetryPolicy) step(ctx context.Context, attempt int, hint time.Duration) error {
+	if p.MaxAttempts > 0 && attempt+1 >= p.MaxAttempts {
+		return errAttempts
+	}
+	return p.sleep(ctx, attempt, hint)
+}
+
+// NewClient builds a client with the default retry policy for a daemon
+// address: TCP ("host:port", "http://...") or a unix socket
+// ("unix:///path").
+func NewClient(addr string) (*Client, error) {
+	c := &Client{base: "http://bgqd", hc: &http.Client{}, retry: DefaultRetryPolicy(), vec: &minVector{}}
 	if addr == "" {
-		return "", nil, fmt.Errorf("serve: empty address")
+		return nil, fmt.Errorf("serve: empty address")
 	}
 	if path, ok := strings.CutPrefix(addr, "unix://"); ok {
 		if path == "" {
-			return "", nil, fmt.Errorf("serve: empty unix socket path")
+			return nil, fmt.Errorf("serve: empty unix socket path")
 		}
-		tr := &http.Transport{
+		// The base host is a placeholder; the transport always dials the
+		// socket.
+		c.hc.Transport = &http.Transport{
 			DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
 				var d net.Dialer
 				return d.DialContext(ctx, "unix", path)
 			},
 		}
-		// The host is a placeholder; the transport always dials the
-		// socket.
-		return "http://bgqd", &http.Client{Transport: tr}, nil
+		return c, nil
 	}
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
 		addr = "http://" + addr
 	}
-	return strings.TrimRight(addr, "/"), &http.Client{}, nil
-}
-
-// NewClient builds a client for the given address with the default
-// retry policy.
-func NewClient(addr string) (*Client, error) {
-	base, hc, err := dialTarget(addr)
-	if err != nil {
-		return nil, err
+	c.base = strings.TrimRight(addr, "/")
+	if _, err := url.Parse(c.base); err != nil {
+		return nil, fmt.Errorf("serve: bad address: %w", err)
 	}
-	return &Client{base: base, hc: hc, retry: DefaultRetryPolicy()}, nil
+	return c, nil
 }
 
 // SetRetryPolicy replaces the client's retry policy. Not safe to call
@@ -193,24 +217,13 @@ func (c *Client) BaseURL() string { return c.base }
 
 // MinVector returns the fault-epoch vector this client currently
 // demands of every plan ("" until a Fault response establishes one).
-func (c *Client) MinVector() string {
-	if c.vecSrc != nil {
-		return c.vecSrc()
-	}
-	c.vecMu.Lock()
-	defer c.vecMu.Unlock()
-	return c.minVec.String()
-}
+func (c *Client) MinVector() string { return c.vec.String() }
 
 // MergeMinVector raises the client's demanded vector pointwise by v
 // (canonical "origin:seq,..." form). Malformed input is ignored — the
 // demand only ever grows from server-provided vectors.
 func (c *Client) MergeMinVector(v string) {
 	if v == "" {
-		return
-	}
-	if c.vecSink != nil {
-		c.vecSink(v)
 		return
 	}
 	parsed, err := cluster.ParseVector(v)
@@ -220,19 +233,7 @@ func (c *Client) MergeMinVector(v string) {
 		}
 		return
 	}
-	c.vecMu.Lock()
-	if c.minVec == nil {
-		c.minVec = cluster.Vector{}
-	}
-	c.minVec.Merge(parsed)
-	c.vecMu.Unlock()
-}
-
-// SetVectorHooks redirects the client's min-vector reads and merges to
-// an external store (RingClient shares one across its per-replica
-// clients). Configure before use.
-func (c *Client) SetVectorHooks(src func() string, sink func(string)) {
-	c.vecSrc, c.vecSink = src, sink
+	c.vec.merge(parsed)
 }
 
 // PlanResult is one plan response as the client saw it.
@@ -294,21 +295,13 @@ func (c *Client) post(ctx context.Context, path string, body any) (PlanResult, e
 	}
 	for attempt := 0; ; attempt++ {
 		res, err := c.postOnce(ctx, path, body, trace)
+		res.Retries = attempt
 		retryable := err == nil && (res.Status == http.StatusServiceUnavailable ||
 			(res.Status == http.StatusTooManyRequests && !pol.NoShedRetry))
 		if err != nil && pol.RetryConn && ctx.Err() == nil {
 			retryable = true
 		}
-		if !retryable {
-			res.Retries = attempt
-			return res, err
-		}
-		if pol.MaxAttempts > 0 && attempt+1 >= pol.MaxAttempts {
-			res.Retries = attempt
-			return res, err
-		}
-		if serr := pol.sleep(ctx, attempt, res.RetryAfter); serr != nil {
-			res.Retries = attempt
+		if !retryable || pol.step(ctx, attempt, res.RetryAfter) != nil {
 			return res, err
 		}
 	}
@@ -337,11 +330,10 @@ func (c *Client) msHeader(h http.Header, key string) float64 {
 
 // retryAfterHint parses a Retry-After header value into a wait hint.
 // Integer delay-seconds yield that duration, with negatives clamped to
-// zero (retry immediately — a negative wait is meaningless). A valid
-// HTTP-date form returns ok=false: converting it to a wait needs a
-// clock, so callers fall back to their backoff schedule explicitly
-// rather than misreading the date as delay-seconds. Anything else is
-// malformed and also returns ok=false.
+// zero (retry immediately — a negative wait is meaningless). Anything
+// else returns ok=false, the HTTP-date form included: converting a date
+// to a wait needs a clock, so callers fall back to their backoff
+// schedule rather than misreading the date as delay-seconds.
 func retryAfterHint(ra string) (time.Duration, bool) {
 	if ra == "" {
 		return 0, false
@@ -351,9 +343,6 @@ func retryAfterHint(ra string) (time.Duration, bool) {
 			return 0, true
 		}
 		return time.Duration(secs) * time.Second, true
-	}
-	if _, err := http.ParseTime(ra); err == nil {
-		return 0, false
 	}
 	return 0, false
 }
@@ -380,21 +369,8 @@ func (c *Client) postOnce(ctx context.Context, path string, body any, trace stri
 			}
 		},
 	}
-	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, ct),
-		http.MethodPost, c.base+path, bytes.NewReader(raw))
-	if err != nil {
-		return PlanResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if trace != "" {
-		req.Header.Set(HeaderTraceID, trace)
-		req.Header.Set(HeaderSpanID, obs.NewTraceID())
-	}
-	if mv := c.MinVector(); mv != "" {
-		req.Header.Set(HeaderMinVector, mv)
-	}
 	t0 := time.Now()
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(httptrace.WithClientTrace(ctx, ct), http.MethodPost, path, raw, trace, true)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -422,9 +398,7 @@ func (c *Client) postOnce(ctx context.Context, path string, body any, trace stri
 	if out.Trace == "" {
 		out.Trace = resp.Header.Get(HeaderTraceID)
 	}
-	if hint, ok := retryAfterHint(resp.Header.Get("Retry-After")); ok {
-		out.RetryAfter = hint
-	}
+	out.RetryAfter, _ = retryAfterHint(resp.Header.Get("Retry-After"))
 	c.tracer.Span(trace, "client/plan", path, t0, time.Now())
 	return out, nil
 }
@@ -465,74 +439,77 @@ func (c *Client) Fault(ctx context.Context, ev FaultEvent) (uint64, error) {
 	return res.Epoch, nil
 }
 
-// Metrics fetches the /metrics registry snapshot.
-func (c *Client) Metrics(ctx context.Context) (obs.MetricsSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return obs.MetricsSnapshot{}, err
+// send is the client's one HTTP exchange: every request the client
+// layer makes — plan, fault, session, telemetry and gossip calls — is
+// built and sent here. A body (always JSON) sets Content-Type; a
+// non-empty trace is stamped with a fresh per-attempt span ID; stampVec
+// adds the min-vector demand, which only plan, simulate and fault posts
+// carry.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, trace string, stampVec bool) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	resp, err := c.hc.Do(req)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return obs.MetricsSnapshot{}, err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if trace != "" {
+		req.Header.Set(HeaderTraceID, trace)
+		req.Header.Set(HeaderSpanID, obs.NewTraceID())
+	}
+	if stampVec {
+		if mv := c.vec.String(); mv != "" {
+			req.Header.Set(HeaderMinVector, mv)
+		}
+	}
+	return c.hc.Do(req)
+}
+
+// fetch sends one untraced request and hands a 200 response's body to
+// read. Any other status is an error carrying the first 512 bytes of
+// the body.
+func fetch[T any](ctx context.Context, c *Client, method, path string, body []byte, read func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	resp, err := c.send(ctx, method, path, body, "", false)
+	if err != nil {
+		return zero, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return obs.MetricsSnapshot{}, fmt.Errorf("serve: /metrics status %d: %s", resp.StatusCode, b)
+		return zero, fmt.Errorf("serve: %s status %d: %s", path, resp.StatusCode, b)
 	}
-	return obs.ReadMetricsSnapshot(resp.Body)
+	return read(resp.Body)
+}
+
+func decodeJSON[T any](r io.Reader) (T, error) {
+	var v T
+	err := json.NewDecoder(r).Decode(&v)
+	return v, err
+}
+
+// Metrics fetches the /metrics registry snapshot.
+func (c *Client) Metrics(ctx context.Context) (obs.MetricsSnapshot, error) {
+	return fetch(ctx, c, http.MethodGet, "/metrics", nil, obs.ReadMetricsSnapshot)
 }
 
 // SLO fetches the daemon's current SLO verdicts (GET /v1/slo).
 func (c *Client) SLO(ctx context.Context) (obs.SLOSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/slo", nil)
-	if err != nil {
-		return obs.SLOSnapshot{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return obs.SLOSnapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return obs.SLOSnapshot{}, fmt.Errorf("serve: /v1/slo status %d: %s", resp.StatusCode, b)
-	}
-	return obs.ReadSLOSnapshot(resp.Body)
+	return fetch(ctx, c, http.MethodGet, "/v1/slo", nil, obs.ReadSLOSnapshot)
 }
 
 // TraceJSON fetches the daemon's Perfetto trace snapshot (GET
 // /v1/trace) as raw bytes, ready for obs.MergeChromeTraces or a file.
 func (c *Client) TraceJSON(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("serve: /v1/trace status %d: %s", resp.StatusCode, b)
-	}
-	return io.ReadAll(resp.Body)
+	return fetch(ctx, c, http.MethodGet, "/v1/trace", nil, io.ReadAll)
 }
 
 // Health checks the daemon's /healthz endpoint.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: /healthz status %d", resp.StatusCode)
-	}
-	return nil
+	_, err := fetch(ctx, c, http.MethodGet, "/healthz", nil, io.ReadAll)
+	return err
 }

@@ -30,7 +30,7 @@ type testCluster struct {
 
 // newTestCluster pre-binds n listeners, builds each daemon with the
 // other n-1 as peers, and mounts the handlers.
-func newTestCluster(t *testing.T, n int, mut func(i int, cfg *serve.Config)) *testCluster {
+func newTestCluster(t testing.TB, n int, mut func(i int, cfg *serve.Config)) *testCluster {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -373,8 +373,12 @@ func TestClusterSessionReroute(t *testing.T) {
 	if executed != 1 {
 		t.Fatalf("sessions_executed across live replicas = %d, want exactly 1", executed)
 	}
-	if got := tc.ring.Registry().Counter("serve/ring/session_reroutes").Value(); got == 0 {
-		t.Fatal("reroute not counted — did the owner die before the POST?")
+	// One move down the ladder: the dead owner, then its live successor.
+	if got := tc.ring.Registry().Counter("serve/ring/session_reroutes").Value(); got != 1 {
+		t.Fatalf("session_reroutes = %d, want 1 — did the owner die before the POST?", got)
+	}
+	if got := tc.ring.Registry().Counter("serve/ring/all_down").Value(); got != 0 {
+		t.Fatalf("all_down = %d with two live replicas", got)
 	}
 }
 
@@ -432,6 +436,102 @@ func TestClusterKillReplicaDifferential(t *testing.T) {
 	}
 	if tc.ring.StaleServed() != 0 {
 		t.Fatalf("stale_served = %d, want 0", tc.ring.StaleServed())
+	}
+	reg := tc.ring.Registry()
+	if reg.Counter("serve/ring/failovers").Value() == 0 {
+		t.Fatal("no failover counted after r2 died")
+	}
+	if got := reg.Counter("serve/ring/all_down").Value(); got != 0 {
+		t.Fatalf("all_down = %d with two live replicas", got)
+	}
+}
+
+// TestRingFailoverLadder pins the one failover ladder behind PlanPair,
+// Fault and Transfer: fault posts rotate their starting member, a dead
+// member costs one counted failover and then waits at the back of every
+// ladder during its cooldown, and a ring with no live member fails
+// every call and counts serve/ring/all_down.
+func TestRingFailoverLadder(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	reg := tc.ring.Registry()
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
+	fault := func(node int) {
+		t.Helper()
+		if _, err := tc.ring.Fault(ctx, serve.FaultEvent{Links: []scenario.FailLink{{Node: node, Dim: 0, Dir: 1}}}); err != nil {
+			t.Fatalf("fault on node %d: %v", node, err)
+		}
+	}
+
+	// Successive posts start one member further round: r0, r1, r2.
+	for i := 0; i < 3; i++ {
+		fault(i)
+	}
+	if got := tc.ring.MinVector(); got != "r0:1,r1:1,r2:1" {
+		t.Fatalf("after three faults min vector = %q, want one origination per replica", got)
+	}
+
+	tc.kill(1)
+	// Plans: the first key owned by r1 fails over once; r1 is then
+	// cooled down and sits at the back of every ladder.
+	for i := 0; i < 40; i++ {
+		req := serve.PairRequest{Shape: testShape, Src: i, Dst: 127 - i, Bytes: 1 << 20}
+		res, err := tc.ring.PlanPair(ctx, req)
+		if err != nil || !res.OK() {
+			t.Fatalf("plan %d: %v status %d", i, err, res.Status)
+		}
+		if res.Replica == "r1" {
+			t.Fatalf("plan %d served by the dead replica", i)
+		}
+	}
+	if got := counter("serve/ring/failovers"); got != 1 {
+		t.Fatalf("failovers = %d, want 1 (the first hit on dead r1)", got)
+	}
+
+	// Faults keep rotating; the turn that would start at cooled-down r1
+	// starts at r2 instead.
+	for i := 3; i < 6; i++ {
+		fault(i) // starts at r0, r1 (cooled: r2), r2
+	}
+	if got := tc.ring.MinVector(); got != "r0:2,r1:1,r2:3" {
+		t.Fatalf("min vector = %q after rotating past dead r1, want r0:2,r1:1,r2:3", got)
+	}
+
+	// A session owned by cooled-down r1 goes straight to a live member:
+	// no reroute is counted.
+	id := ""
+	for i := 0; id == ""; i++ {
+		if cand := fmt.Sprintf("s-ladder-%d", i); tc.ringOwner("session|"+cand) == "r1" {
+			id = cand
+		}
+	}
+	out, err := tc.ring.Transfer(ctx, serve.TransferRequest{ID: id, Shape: testShape, Src: 0, Dst: 97, Bytes: 1 << 20}, serve.TransferOpts{})
+	if err != nil || out.Err != "" || len(out.Report) == 0 {
+		t.Fatalf("transfer owned by dead r1: %v %q", err, out.Err)
+	}
+	if got := counter("serve/ring/session_reroutes"); got != 0 {
+		t.Fatalf("session_reroutes = %d, want 0 (cooled-down owner moves to the back)", got)
+	}
+	if got := counter("serve/ring/all_down"); got != 0 {
+		t.Fatalf("all_down = %d with two live replicas", got)
+	}
+
+	// No live member: every call fails and counts all_down.
+	tc.kill(0)
+	tc.kill(2)
+	tc.ring.SetRetryPolicy(serve.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	if _, err := tc.ring.PlanPair(ctx, serve.PairRequest{Shape: testShape, Src: 1, Dst: 2, Bytes: 1 << 20}); err == nil {
+		t.Fatal("plan succeeded with every replica dead")
+	}
+	if _, err := tc.ring.Fault(ctx, serve.FaultEvent{Clear: true}); err == nil {
+		t.Fatal("fault succeeded with every replica dead")
+	}
+	if _, err := tc.ring.Transfer(ctx, serve.TransferRequest{ID: id, Shape: testShape, Src: 0, Dst: 97, Bytes: 1 << 20}, serve.TransferOpts{}); err == nil {
+		t.Fatal("transfer succeeded with every replica dead")
+	}
+	if got := counter("serve/ring/all_down"); got != 3 {
+		t.Fatalf("all_down = %d after three calls on a dead ring, want 3", got)
 	}
 }
 

@@ -30,11 +30,10 @@ type RingClient struct {
 	ring    *cluster.Ring
 	reg     *obs.Registry
 	retry   RetryPolicy
-	tracer  *obs.WallRecorder
 	clients map[string]*Client // by member ID
+	vec     *minVector         // shared by every per-replica client
 
 	mu       sync.Mutex
-	minVec   cluster.Vector
 	down     map[string]time.Time // member ID -> cooldown expiry
 	faultRR  int
 	cooldown time.Duration
@@ -52,7 +51,7 @@ func NewRingClient(members []cluster.Member) (*RingClient, error) {
 		reg:      obs.NewRegistry(),
 		retry:    DefaultRetryPolicy(),
 		clients:  make(map[string]*Client, len(members)),
-		minVec:   cluster.Vector{},
+		vec:      &minVector{},
 		down:     make(map[string]time.Time),
 		cooldown: 2 * time.Second,
 	}
@@ -61,7 +60,7 @@ func NewRingClient(members []cluster.Member) (*RingClient, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: ring member %s: %w", m.ID, err)
 		}
-		c.SetVectorHooks(rc.minVector, rc.mergeMinVector)
+		c.vec = rc.vec
 		c.SetMetrics(rc.reg)
 		rc.clients[m.ID] = c
 	}
@@ -85,19 +84,15 @@ func (rc *RingClient) SetRetryPolicy(p RetryPolicy) {
 // SetTracer attaches one wall recorder to every per-replica client.
 // Configure before use.
 func (rc *RingClient) SetTracer(t *obs.WallRecorder) {
-	rc.tracer = t
 	for _, c := range rc.clients {
 		c.SetTracer(t)
 	}
 }
 
 // Registry exposes the ring client's metrics: serve/ring/failovers,
-// serve/ring/stale_served, serve/ring/all_down, plus the per-replica
-// client anomaly counters.
+// serve/ring/session_reroutes, serve/ring/stale_served,
+// serve/ring/all_down, plus the per-replica client anomaly counters.
 func (rc *RingClient) Registry() *obs.Registry { return rc.reg }
-
-// Members returns the ring membership sorted by ID.
-func (rc *RingClient) Members() []cluster.Member { return rc.ring.Members() }
 
 // Client returns the underlying per-replica client (nil for unknown
 // IDs) — tests and per-replica probes use it directly.
@@ -105,7 +100,7 @@ func (rc *RingClient) Client(id string) *Client { return rc.clients[id] }
 
 // MinVector returns the fault-epoch vector the ring client currently
 // demands of every plan.
-func (rc *RingClient) MinVector() string { return rc.minVector() }
+func (rc *RingClient) MinVector() string { return rc.vec.String() }
 
 // StaleServed reports how many responses arrived with a vector that did
 // NOT dominate the demanded min vector — the chaos-soak gate; the
@@ -115,25 +110,8 @@ func (rc *RingClient) StaleServed() int64 {
 	return rc.reg.Counter("serve/ring/stale_served").Value()
 }
 
-func (rc *RingClient) minVector() string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.minVec.String()
-}
-
-func (rc *RingClient) mergeMinVector(v string) {
-	parsed, err := cluster.ParseVector(v)
-	if err != nil {
-		rc.reg.Counter("serve/client/bad_vector").Inc()
-		return
-	}
-	rc.mu.Lock()
-	rc.minVec.Merge(parsed)
-	rc.mu.Unlock()
-}
-
 // markDown starts a cooldown for a member that failed at the transport
-// level; ladder walks skip it until the cooldown expires.
+// level; ladder walks move it to the back until the cooldown expires.
 func (rc *RingClient) markDown(id string) {
 	rc.mu.Lock()
 	rc.down[id] = time.Now().Add(rc.cooldown)
@@ -154,51 +132,57 @@ func (rc *RingClient) isDown(id string) bool {
 	return true
 }
 
-// ladder returns the key's failover ladder with cooled-down members
-// moved to the back (never dropped — if everyone is marked down the
-// walk still tries them all).
-func (rc *RingClient) ladder(key string) []cluster.Member {
-	all := rc.ring.Successors(key, rc.ring.Len())
-	up := make([]cluster.Member, 0, len(all))
+// walk is the one failover ladder. It tries call on each member of
+// order (which it reorders in place) with cooled-down members moved to
+// the back — never dropped, so if everyone is marked down the walk
+// still tries them all. A failed rung is marked down and the walk moves
+// on, counting each move on the reroutes counter when one is named. A
+// cancelled context ends the walk with the rung's error; failing on
+// every member counts serve/ring/all_down.
+func (rc *RingClient) walk(ctx context.Context, order []cluster.Member, reroutes, what string, call func(*Client) error) error {
+	n := 0
 	var cooled []cluster.Member
-	for _, m := range all {
+	for _, m := range order {
 		if rc.isDown(m.ID) {
 			cooled = append(cooled, m)
 		} else {
-			up = append(up, m)
+			order[n] = m
+			n++
 		}
 	}
-	return append(up, cooled...)
-}
-
-// do walks the key's ladder: each rung gets the full per-replica retry
-// policy (429 shed and 503 stale retry in place); a transport error
-// marks the rung down and falls through to the successor. The response
-// vector is checked against the min vector demanded at send time — a
-// violation counts on serve/ring/stale_served.
-func (rc *RingClient) do(ctx context.Context, key string, call func(*Client) (PlanResult, error)) (PlanResult, error) {
-	demanded := rc.minVector()
-	var lastErr error
-	for i, m := range rc.ladder(key) {
-		if err := ctx.Err(); err != nil {
-			return PlanResult{}, err
+	var err error
+	for i, m := range append(order[:n], cooled...) {
+		if i > 0 && reroutes != "" {
+			rc.reg.Counter(reroutes).Inc()
 		}
-		if i > 0 {
-			rc.reg.Counter("serve/ring/failovers").Inc()
+		if err = call(rc.clients[m.ID]); err == nil || ctx.Err() != nil {
+			return err
 		}
-		res, err := call(rc.clients[m.ID])
-		if err != nil {
-			rc.markDown(m.ID)
-			lastErr = err
-			continue
-		}
-		if res.OK() && demanded != "" {
-			rc.checkServedVector(res.Vector, demanded)
-		}
-		return res, nil
+		rc.markDown(m.ID)
 	}
 	rc.reg.Counter("serve/ring/all_down").Inc()
-	return PlanResult{}, fmt.Errorf("serve: all ring members failed for key: %w", lastErr)
+	return fmt.Errorf("serve: %s failed on every ring member: %w", what, err)
+}
+
+// plan walks the key's successor ladder: each rung gets the full
+// per-replica retry policy (429 shed and 503 stale retry in place); a
+// transport error fails over to the successor. The response vector is
+// checked against the min vector demanded at send time — a violation
+// counts on serve/ring/stale_served.
+func (rc *RingClient) plan(ctx context.Context, key string, call func(*Client) (PlanResult, error)) (PlanResult, error) {
+	demanded := rc.vec.String()
+	var res PlanResult
+	err := rc.walk(ctx, rc.ring.Successors(key, rc.ring.Len()), "serve/ring/failovers", "plan", func(c *Client) (err error) {
+		res, err = call(c)
+		return err
+	})
+	if err != nil {
+		return PlanResult{}, err
+	}
+	if res.OK() && demanded != "" {
+		rc.checkServedVector(res.Vector, demanded)
+	}
+	return res, nil
 }
 
 // checkServedVector verifies a served plan's vector dominates what the
@@ -217,21 +201,21 @@ func (rc *RingClient) checkServedVector(served, demanded string) {
 
 // PlanPair requests a point-to-point plan from the replica owning it.
 func (rc *RingClient) PlanPair(ctx context.Context, req PairRequest) (PlanResult, error) {
-	return rc.do(ctx, req.cacheKey(), func(c *Client) (PlanResult, error) {
+	return rc.plan(ctx, req.cacheKey(), func(c *Client) (PlanResult, error) {
 		return c.PlanPair(ctx, req)
 	})
 }
 
 // PlanGroup requests a group-coupling plan from the replica owning it.
 func (rc *RingClient) PlanGroup(ctx context.Context, req GroupRequest) (PlanResult, error) {
-	return rc.do(ctx, req.cacheKey(), func(c *Client) (PlanResult, error) {
+	return rc.plan(ctx, req.cacheKey(), func(c *Client) (PlanResult, error) {
 		return c.PlanGroup(ctx, req)
 	})
 }
 
 // PlanAgg requests an I/O aggregation plan from the replica owning it.
 func (rc *RingClient) PlanAgg(ctx context.Context, req AggRequest) (PlanResult, error) {
-	return rc.do(ctx, req.cacheKey(), func(c *Client) (PlanResult, error) {
+	return rc.plan(ctx, req.cacheKey(), func(c *Client) (PlanResult, error) {
 		return c.PlanAgg(ctx, req)
 	})
 }
@@ -242,38 +226,30 @@ func (rc *RingClient) Simulate(ctx context.Context, cfg scenario.Config) (PlanRe
 	if err != nil {
 		return PlanResult{}, err
 	}
-	return rc.do(ctx, simCacheKey(cfg, canon), func(c *Client) (PlanResult, error) {
+	return rc.plan(ctx, simCacheKey(cfg, canon), func(c *Client) (PlanResult, error) {
 		return c.Simulate(ctx, cfg)
 	})
 }
 
-// Fault posts a fault event to one replica — rotating across the
-// membership so origination (and therefore gossip dissemination) is
-// exercised everywhere — and merges the acknowledged vector into the
-// shared min vector. Returns the originating replica's new epoch.
+// Fault posts a fault event to one replica — starting one member
+// further round the membership on each call, so origination (and
+// therefore gossip dissemination) is exercised everywhere — and merges
+// the acknowledged vector into the shared min vector. Any error,
+// rejection included, fails over to the next member. Returns the
+// originating replica's new epoch.
 func (rc *RingClient) Fault(ctx context.Context, ev FaultEvent) (uint64, error) {
 	members := rc.ring.Members()
 	rc.mu.Lock()
-	start := rc.faultRR
+	start := rc.faultRR % len(members)
 	rc.faultRR++
 	rc.mu.Unlock()
-	var lastErr error
-	for i := 0; i < len(members); i++ {
-		m := members[(start+i)%len(members)]
-		if rc.isDown(m.ID) && i < len(members)-1 {
-			continue
-		}
-		epoch, err := rc.clients[m.ID].Fault(ctx, ev)
-		if err == nil {
-			return epoch, nil
-		}
-		if ctx.Err() != nil {
-			return 0, err
-		}
-		rc.markDown(m.ID)
-		lastErr = err
-	}
-	return 0, fmt.Errorf("serve: fault event failed on every replica: %w", lastErr)
+	order := append(append(make([]cluster.Member, 0, len(members)), members[start:]...), members[:start]...)
+	var epoch uint64
+	err := rc.walk(ctx, order, "", "fault event", func(c *Client) (err error) {
+		epoch, err = c.Fault(ctx, ev)
+		return err
+	})
+	return epoch, err
 }
 
 // Transfer runs one resilient transfer session, routed by session ID.
@@ -294,33 +270,20 @@ func (rc *RingClient) Transfer(ctx context.Context, req TransferRequest, opts Tr
 		opts.Backoff.MaxAttempts = 4
 	}
 	out := TransferOutcome{SessionID: req.ID}
-	var lastErr error
-	for i, m := range rc.ladder("session|" + req.ID) {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		if i > 0 {
-			rc.reg.Counter("serve/ring/session_reroutes").Inc()
-		}
-		o, err := rc.clients[m.ID].Transfer(ctx, req, opts)
-		// Merge attempt bookkeeping across rungs; the terminal report (if
-		// any) comes from exactly one replica.
-		out.Frames = o.Frames
-		out.Resumes += o.Resumes
-		out.Restarts += o.Restarts
-		if o.Trace != "" {
-			out.Trace = o.Trace
-		}
-		if err == nil {
-			out.Report, out.Err = o.Report, o.Err
-			out.Faults, out.Pushed, out.Members = o.Faults, o.Pushed, o.Members
-			return out, nil
-		}
-		rc.markDown(m.ID)
-		lastErr = err
-	}
-	rc.reg.Counter("serve/ring/all_down").Inc()
-	return out, fmt.Errorf("serve: transfer %s failed on every replica: %w", req.ID, lastErr)
+	err := rc.walk(ctx, rc.ring.Successors("session|"+req.ID, rc.ring.Len()), "serve/ring/session_reroutes", "transfer "+req.ID,
+		func(c *Client) error {
+			o, err := c.Transfer(ctx, req, opts)
+			// Resumes and restarts add up across rungs; everything else,
+			// the terminal report included, is the last rung's.
+			o.Resumes += out.Resumes
+			o.Restarts += out.Restarts
+			if o.Trace == "" {
+				o.Trace = out.Trace
+			}
+			out = o
+			return err
+		})
+	return out, err
 }
 
 // Health probes every member; it returns the IDs that answered.
@@ -351,26 +314,9 @@ func (rc *RingClient) MetricsAll(ctx context.Context) map[string]obs.MetricsSnap
 func (rc *RingClient) ClusterStatusAll(ctx context.Context) map[string]ClusterStatus {
 	out := make(map[string]ClusterStatus)
 	for _, m := range rc.ring.Members() {
-		var st ClusterStatus
-		if err := rc.getJSON(ctx, rc.clients[m.ID], "/v1/cluster", &st); err == nil {
+		if st, err := fetch(ctx, rc.clients[m.ID], http.MethodGet, "/v1/cluster", nil, decodeJSON[ClusterStatus]); err == nil {
 			out[m.ID] = st
 		}
 	}
 	return out
-}
-
-func (rc *RingClient) getJSON(ctx context.Context, c *Client, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: GET %s status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

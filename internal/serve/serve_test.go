@@ -21,7 +21,7 @@ import (
 const testShape = "2x2x4x4x2" // the paper's 128-node midplane slice
 
 // newTestDaemon runs an in-process daemon and returns a client for it.
-func newTestDaemon(t *testing.T, cfg serve.Config) (*serve.Server, *serve.Client) {
+func newTestDaemon(t testing.TB, cfg serve.Config) (*serve.Server, *serve.Client) {
 	t.Helper()
 	srv := serve.New(cfg)
 	hs := httptest.NewServer(srv.Handler())

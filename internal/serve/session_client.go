@@ -7,8 +7,11 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -107,35 +110,30 @@ func (c *Client) Transfer(ctx context.Context, req TransferRequest, opts Transfe
 	var lastSeq uint64
 	resume := false
 	fails := 0 // consecutive failed attempts
+	retry := func(hint time.Duration) error {
+		fails++
+		err := pol.step(ctx, fails-1, hint)
+		if errors.Is(err, errAttempts) {
+			err = fmt.Errorf("serve: transfer %s: gave up after %d attempts", req.ID, fails)
+		}
+		return err
+	}
+	// restart forgets the run: the next attempt re-POSTs the same ID.
+	restart := func() {
+		resume, lastSeq, out.Pushed = false, 0, nil
+		out.Restarts++
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("serve: transfer %s: %w", req.ID, err)
 		}
-		var (
-			resp    *http.Response
-			httpErr error
-		)
-		attempt := "post"
-		tAttempt := time.Now()
+		attempt, method, path, reqBody := "post", http.MethodPost, "/v1/transfer", body
 		if resume {
-			attempt = "resume"
-			r, _ := http.NewRequestWithContext(ctx, http.MethodGet,
-				c.base+"/v1/transfer/"+req.ID+"/events?after="+strconv.FormatUint(lastSeq, 10), nil)
-			if trace != "" {
-				r.Header.Set(HeaderTraceID, trace)
-				r.Header.Set(HeaderSpanID, obs.NewTraceID())
-			}
-			resp, httpErr = c.hc.Do(r)
-		} else {
-			r, _ := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/transfer", bytes.NewReader(body))
-			r.Header.Set("Content-Type", "application/json")
-			if trace != "" {
-				r.Header.Set(HeaderTraceID, trace)
-				r.Header.Set(HeaderSpanID, obs.NewTraceID())
-			}
-			resp, httpErr = c.hc.Do(r)
+			attempt, method, reqBody = "resume", http.MethodGet, nil
+			path = sessionPath(req.ID, "/events?after="+strconv.FormatUint(lastSeq, 10))
 		}
-
+		tAttempt := time.Now()
+		resp, err := c.send(ctx, method, path, reqBody, trace, false)
 		// Each connection attempt (initial POST, resume, re-POST) is one
 		// client span; a disconnect-heavy session reads as a row of
 		// attempt spans over the daemon's single session span.
@@ -143,15 +141,7 @@ func (c *Client) Transfer(ctx context.Context, req TransferRequest, opts Transfe
 			c.tracer.Span(trace, "client/sessions", attempt+" "+req.ID, tAttempt, time.Now())
 		}
 
-		retry := func(hint time.Duration) error {
-			fails++
-			if pol.MaxAttempts > 0 && fails >= pol.MaxAttempts {
-				return fmt.Errorf("serve: transfer %s: gave up after %d attempts", req.ID, fails)
-			}
-			return pol.sleep(ctx, fails-1, hint)
-		}
-
-		if httpErr != nil {
+		if err != nil {
 			endAttempt()
 			// Transport failure — the daemon may be restarting. Keep the
 			// cursor: if the daemon survived, the resume replays; if it was
@@ -162,42 +152,29 @@ func (c *Client) Transfer(ctx context.Context, req TransferRequest, opts Transfe
 			if err := retry(0); err != nil {
 				return out, err
 			}
-			if lastSeq > 0 {
-				resume = true
-			}
+			resume = resume || lastSeq > 0
 			continue
 		}
-
-		switch resp.StatusCode {
-		case http.StatusOK:
-			// Stream below.
-		case http.StatusNotFound:
-			endAttempt()
-			// The daemon does not know the session: it restarted (or
-			// reaped it). Start over under the same idempotent ID.
-			resp.Body.Close()
-			resume = false
-			lastSeq = 0
-			out.Pushed = nil
-			out.Restarts++
-			if err := retry(0); err != nil {
-				return out, err
-			}
-			continue
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		if resp.StatusCode != http.StatusOK {
 			endAttempt()
 			hint, _ := retryAfterHint(resp.Header.Get("Retry-After"))
+			var env planEnvelope
+			json.NewDecoder(resp.Body).Decode(&env)
 			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusNotFound:
+				// The daemon does not know the session: it restarted (or
+				// reaped it). Start over under the same idempotent ID.
+				restart()
+				hint = 0
+			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			default:
+				return out, fmt.Errorf("serve: transfer %s rejected (status %d): %s", req.ID, resp.StatusCode, env.Error)
+			}
 			if err := retry(hint); err != nil {
 				return out, err
 			}
 			continue
-		default:
-			endAttempt()
-			var env planEnvelope
-			json.NewDecoder(resp.Body).Decode(&env)
-			resp.Body.Close()
-			return out, fmt.Errorf("serve: transfer %s rejected (status %d): %s", req.ID, resp.StatusCode, env.Error)
 		}
 
 		done, rearm, serr := c.consumeStream(resp, opts, &out, &lastSeq)
@@ -212,10 +189,7 @@ func (c *Client) Transfer(ctx context.Context, req TransferRequest, opts Transfe
 		if rearm {
 			// Aborted report (drain or idle reap): re-POST the same ID so
 			// the daemon re-arms a fresh run.
-			resume = false
-			lastSeq = 0
-			out.Pushed = nil
-			out.Restarts++
+			restart()
 			if err := pol.sleep(ctx, 0, 0); err != nil {
 				return out, fmt.Errorf("serve: transfer %s: %w", req.ID, err)
 			}
@@ -297,56 +271,28 @@ func (c *Client) consumeStream(resp *http.Response, opts TransferOpts, out *Tran
 	return false, false, sc.Err()
 }
 
+// sessionPath is the URL path of a session sub-resource. Session IDs
+// are opaque strings, so the ID is path-escaped; the daemon's router
+// unescapes it back into {id}.
+func sessionPath(id, suffix string) string {
+	return "/v1/transfer/" + url.PathEscape(id) + suffix
+}
+
 // ackSession acknowledges frames up to seq (best effort).
 func (c *Client) ackSession(ctx context.Context, id string, seq uint64) {
 	b, _ := json.Marshal(ackBody{Seq: seq})
-	r, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/transfer/"+id+"/ack", bytes.NewReader(b))
-	if err != nil {
-		return
-	}
-	r.Header.Set("Content-Type", "application/json")
-	if resp, err := c.hc.Do(r); err == nil {
+	if resp, err := c.send(ctx, http.MethodPost, sessionPath(id, "/ack"), b, "", false); err == nil {
 		resp.Body.Close()
 	}
 }
 
 // Heartbeat keeps an unwatched session alive past the idle deadline.
 func (c *Client) Heartbeat(ctx context.Context, id string) error {
-	r, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/transfer/"+id+"/heartbeat", bytes.NewReader([]byte("{}")))
-	if err != nil {
-		return err
-	}
-	r.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(r)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: heartbeat %s: status %d", id, resp.StatusCode)
-	}
-	return nil
+	_, err := fetch(ctx, c, http.MethodPost, sessionPath(id, "/heartbeat"), []byte("{}"), io.ReadAll)
+	return err
 }
 
 // TransferStatus fetches GET /v1/transfer/{id}.
 func (c *Client) TransferStatus(ctx context.Context, id string) (SessionStatus, error) {
-	r, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/transfer/"+id, nil)
-	if err != nil {
-		return SessionStatus{}, err
-	}
-	resp, err := c.hc.Do(r)
-	if err != nil {
-		return SessionStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return SessionStatus{}, fmt.Errorf("serve: session %s: status %d", id, resp.StatusCode)
-	}
-	var st SessionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return SessionStatus{}, err
-	}
-	return st, nil
+	return fetch(ctx, c, http.MethodGet, sessionPath(id, ""), nil, decodeJSON[SessionStatus])
 }
